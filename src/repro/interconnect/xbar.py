@@ -18,6 +18,12 @@ The same class models both crossbars:
   landing in the same single-ported bank serialise like any other
   conflict.
 
+Requests are plain ``(master, bank, offset, write)`` tuples
+(:class:`Request`), and :meth:`Crossbar.grant` returns the granted ports
+as a bit mask (bit ``2 * master + write``, see :func:`port_bit`), so the
+platform's per-cycle loop allocates nothing for a bank with a single
+requester — by far the common case.
+
 Statistics collected here feed the power model directly (bank accesses,
 broadcast savings, and per-master bank-transition counts that model
 output-net switching activity on the instruction path, which is why the
@@ -28,16 +34,19 @@ ulpmc-int — Table II's last paragraph).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.interconnect.arbiter import RoundRobinArbiter
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One master port's request for this cycle.
 
-    ``grant_key`` (``(master, write)``) identifies the port across the
-    arbitration result.
+    A plain tuple, read by position in the crossbar's hot path; the
+    platform builds one per instruction (instruction fetches once per
+    program image), never per stalled cycle.  ``grant_key``
+    (``(master, write)``) identifies the port across the arbitration
+    result.
     """
 
     master: int
@@ -48,6 +57,12 @@ class Request:
     @property
     def grant_key(self) -> tuple[int, bool]:
         return (self.master, self.write)
+
+
+def port_bit(master: int, write: bool) -> int:
+    """The bit of ``(master, write)``'s port in a :meth:`Crossbar.grant`
+    mask."""
+    return 1 << (2 * master + write)
 
 
 @dataclass
@@ -95,73 +110,143 @@ class Crossbar:
         self.probe_conflict = None
         self.probe_broadcast = None
 
-    def arbitrate(self, requests: list[Request]) -> set[tuple[int, bool]]:
-        """Arbitrate one cycle of requests.
+    def arbitrate(self, requests) -> set[tuple[int, bool]]:
+        """Arbitrate one cycle of requests (see :meth:`grant`).
 
-        Returns the granted ``(master, write)`` port keys.  A master may
-        issue at most one read and one write per cycle; duplicates raise.
+        Returns the granted ``(master, write)`` port keys.
         """
-        if not requests:
-            return set()
-        seen: set[tuple[int, bool]] = set()
-        by_bank: dict[int, list[Request]] = {}
-        for request in requests:
-            key = request.grant_key
-            if key in seen:
-                raise ValueError(
-                    f"master {request.master} issued two "
-                    f"{'writes' if request.write else 'reads'} to "
-                    f"{self.name} in one cycle")
-            seen.add(key)
-            by_bank.setdefault(request.bank, []).append(request)
+        mask = self.grant(requests)
+        return {(bit >> 1, bool(bit & 1))
+                for bit in range(mask.bit_length()) if mask >> bit & 1}
 
-        granted: set[tuple[int, bool]] = set()
+    def grant(self, requests) -> int:
+        """Arbitrate one cycle of ``(master, bank, offset, write)``
+        requests; returns the granted ports as a :func:`port_bit` mask.
+
+        A master may issue at most one read and one write per cycle;
+        duplicates raise.  Banks are served in order of their first
+        request, winners in request order (this fixes the order of the
+        per-master bank-transition updates and of the probe hooks).
+        """
+        ports = banks = 0
+        shared = False
+        for master, bank, _, write in requests:
+            bit = 1 << (2 * master + write)
+            if ports & bit:
+                raise ValueError(
+                    f"master {master} issued two "
+                    f"{'writes' if write else 'reads'} to "
+                    f"{self.name} in one cycle")
+            ports |= bit
+            if banks >> bank & 1:
+                shared = True
+            else:
+                banks |= 1 << bank
+        if shared:
+            return self._grant_shared(requests, ports)
+        # One requester per bank: everybody wins, nobody merges.
+        self._track(requests)
         stats = self.stats
-        for bank, bank_requests in by_bank.items():
-            winners = self._arbitrate_bank(bank, bank_requests)
-            for request in winners:
-                granted.add(request.grant_key)
-                last = self._last_bank[request.master]
-                if last is not None and last != bank:
-                    transitions = stats.bank_transitions
-                    transitions[request.master] = \
-                        transitions.get(request.master, 0) + 1
-                self._last_bank[request.master] = bank
-            stats.deliveries += len(winners)
-            stats.bank_accesses += 1
-            if len(winners) > 1:
+        stats.bank_accesses += len(requests)
+        stats.deliveries += len(requests)
+        return ports
+
+    def _grant_shared(self, requests, ports: int) -> int:
+        """:meth:`grant` for a cycle in which some bank has several
+        requests (validated by the caller; ``ports`` is every request's
+        port)."""
+        stats = self.stats
+        if self.broadcast:
+            # Lockstep fetch: one read address for every request, so one
+            # merged access serves them all.
+            _, bank, offset, _ = requests[0]
+            for _, other, at, write in requests:
+                if write or other != bank or at != offset:
+                    break
+            else:
+                self._track(requests)
+                width = len(requests)
+                stats.bank_accesses += 1
+                stats.deliveries += width
                 stats.broadcasts += 1
-                stats.broadcast_savings += len(winners) - 1
+                stats.broadcast_savings += width - 1
                 if self.probe_broadcast is not None:
-                    self.probe_broadcast(bank, len(winners))
-            stats.stalls += len(bank_requests) - len(winners)
+                    self.probe_broadcast(bank, width)
+                return ports
+        by_bank = {}
+        multi = {}
+        for request in requests:
+            bank = request[1]
+            first = by_bank.setdefault(bank, request)
+            if first is not request:
+                group = multi.get(bank)
+                if group is None:
+                    multi[bank] = [first, request]
+                else:
+                    group.append(request)
+
+        granted = 0
+        delivered = stalls = broadcasts = savings = 0
+        for bank, request in by_bank.items():
+            group = multi.get(bank)
+            if group is None:
+                winners = (request,)
+            else:
+                winners = self._arbitrate_bank(bank, group)
+                stalls += len(group) - len(winners)
+            for master, _, _, write in winners:
+                granted |= 1 << (2 * master + write)
+            self._track(winners)
+            width = len(winners)
+            delivered += width
+            if width > 1:
+                broadcasts += 1
+                savings += width - 1
+                if self.probe_broadcast is not None:
+                    self.probe_broadcast(bank, width)
+
+        stats.bank_accesses += len(by_bank)
+        stats.deliveries += delivered
+        stats.stalls += stalls
+        stats.broadcasts += broadcasts
+        stats.broadcast_savings += savings
         return granted
 
-    def _arbitrate_bank(self, bank: int, bank_requests: list[Request]):
-        """Pick this cycle's winners for one bank (one access, maybe merged)."""
-        if len(bank_requests) == 1:
-            return bank_requests
+    def _track(self, granted) -> None:
+        """Count the per-master bank transitions of ``granted`` requests,
+        in order."""
+        last_bank = self._last_bank
+        transitions = self.stats.bank_transitions
+        for master, bank, _, _ in granted:
+            last = last_bank[master]
+            if last != bank:
+                if last is not None:
+                    transitions[master] = transitions.get(master, 0) + 1
+                last_bank[master] = bank
+
+    def _arbitrate_bank(self, bank: int, bank_requests: list):
+        """Pick this cycle's winners for one bank with several requests
+        (one access, maybe merged)."""
         # Group mergeable reads: same offset, read, broadcast enabled.
-        groups: dict[tuple, list[Request]] = {}
+        groups: dict[tuple, list] = {}
         for request in bank_requests:
-            if self.broadcast and not request.write:
-                key = (False, request.offset)
+            if self.broadcast and not request[3]:
+                key = (False, request[2])
             else:
-                key = (True, request.master, request.write)
+                key = (True, request[0], request[3])
             groups.setdefault(key, []).append(request)
         if len(groups) == 1:
             return bank_requests
         self.stats.conflict_events += 1
+        masters = {request[0] for request in bank_requests}
         if self.probe_conflict is not None:
-            self.probe_conflict(
-                bank, sorted({request.master for request in bank_requests}))
-        winner = self.arbiters[bank].grant(
-            {request.master for request in bank_requests})
+            self.probe_conflict(bank, sorted(masters))
+        winner = self.arbiters[bank].grant(masters)
         # The winning master may have both a read and a write here; serve
         # the read first (the instruction cannot commit without it anyway).
         candidates = [group for group in groups.values()
-                      if any(r.master == winner for r in group)]
-        candidates.sort(key=lambda group: any(r.write and r.master == winner
+                      if any(r[0] == winner for r in group)]
+        candidates.sort(key=lambda group: any(r[3] and r[0] == winner
                                               for r in group))
         return candidates[0]
 

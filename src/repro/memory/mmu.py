@@ -15,7 +15,7 @@ difference shows up only in the area/power constants.
 
 from __future__ import annotations
 
-from repro.memory.layout import DataMemoryLayout
+from repro.memory.layout import PRIVATE_BASE, DataMemoryLayout
 
 
 class MMU:
@@ -36,16 +36,36 @@ class MMU:
         #: batch subscribers listen.  One ``append(private)`` per
         #: translation replaces the full ``probe`` callback.
         self.probe_ring = None
+        # This PID's fixed geometry, so a translation is arithmetic only.
+        self._banks = layout.core_banks(pid)
+        self._private_words = layout.private_words_per_core
+        self._private_per_bank = layout.private_words_per_bank
+        self._split = layout.shared_words_per_bank
+        self._shared_words = layout.shared_words
+        self._shared_banks = layout.banks
 
     def translate(self, logical: int) -> tuple[int, int]:
-        """Physical (bank, offset) for ``logical``; counts the access mix."""
+        """Physical (bank, offset) for ``logical``; counts the access mix.
+
+        Same mapping and the same :class:`SimulationError` for an
+        out-of-range address as :meth:`DataMemoryLayout.translate`.
+        """
         self.translations += 1
-        private = self.layout.is_private(logical)
+        private = logical >= PRIVATE_BASE
         if private:
             self.private_accesses += 1
+            off = logical - PRIVATE_BASE
+            if off >= self._private_words:
+                self.layout.translate(self.pid, logical)  # raises
+            per_bank = self._private_per_bank
+            bank = self._banks[off // per_bank]
+            offset = self._split + off % per_bank
         else:
             self.shared_accesses += 1
-        bank, offset = self.layout.translate(self.pid, logical)
+            if not 0 <= logical < self._shared_words:
+                self.layout.translate(self.pid, logical)  # raises
+            bank = logical % self._shared_banks
+            offset = logical // self._shared_banks
         ring = self.probe_ring
         if ring is not None:
             ring.append(private)

@@ -1,14 +1,14 @@
 """Conflict-free fast-forward engine for the platform simulator.
 
-The cycle-stepped loop in :mod:`repro.platform.multicore` pays full
-request/arbitrate/commit machinery every cycle, yet on the evaluated
-workloads the overwhelming majority of cycles are *conflict-free*: every
-request is granted immediately (mc-ref fetches from private banks;
-ulpmc-int/-bank fetch in lockstep and broadcast; the MMU keeps private
-data in per-core banks).  In a conflict-free cycle the crossbars make no
-decisions — arbiters are not consulted, nobody stalls — so the cycle's
-entire effect on architectural state and statistics can be computed
-directly.
+The cycle-stepped loop in :mod:`repro.platform.multicore` runs the same
+dispatch handlers but pays full request/arbitrate/commit machinery every
+cycle, yet on the evaluated workloads the overwhelming majority of
+cycles are *conflict-free*: every request is granted immediately
+(mc-ref fetches from private banks; ulpmc-int/-bank fetch in lockstep
+and broadcast; the MMU keeps private data in per-core banks).  In a
+conflict-free cycle the crossbars make no decisions — arbiters are not
+consulted, nobody stalls — so the cycle's entire effect on
+architectural state and statistics can be computed directly.
 
 :class:`FastForwardEngine` exploits that: while every running core sits
 at an instruction boundary it previews all memory requests of the next
@@ -350,6 +350,30 @@ class FastForwardEngine:
             "trace_entries": self.trace_entries,
             "trace_cycles": self.trace_cycles,
         }
+
+    def _prefill(self, run_list, attempts) -> None:
+        """Hand a prepared cycle to the exact loop.
+
+        Fills each core's attempt from the scratch arrays with the
+        dispatch handler and D-Xbar requests the exact loop's
+        ``_new_attempt`` would have built.  MMU accounting already
+        happened in the preview (once per attempt), so the loop must
+        skip ``_new_attempt``: prefilling ``instr`` does exactly that.
+        """
+        cores = self.system.cores
+        for pid in run_list:
+            attempt = attempts[pid]
+            attempt.instr = self._handlers[pid]
+            attempt.fetch_pc = cores[pid].pc
+            attempt.need_if = True
+            bank = self._dr_bank[pid]
+            attempt.need_dr = bank >= 0
+            attempt.dr_req = (pid, bank, self._dr_off[pid], False) \
+                if bank >= 0 else None
+            bank = self._dw_bank[pid]
+            attempt.need_dw = bank >= 0
+            attempt.dw_req = (pid, bank, self._dw_off[pid], True) \
+                if bank >= 0 else None
 
     def advance(self, running, attempts, core_stats, cycle, sync_cycles,
                 max_cycles, barrier=None):
@@ -755,31 +779,13 @@ class FastForwardEngine:
                             if conflict_at >= 0:
                                 # Potential bank conflict at that block
                                 # offset: the generated code filled the
-                                # pid-indexed scratch; prefill the
-                                # attempts exactly like the per-cycle
+                                # pid-indexed scratch; hand the cycle
+                                # over exactly like the per-cycle
                                 # fallback below.
                                 handler = rec[4][conflict_at]
                                 for pid in run_list:
-                                    attempt = attempts[pid]
-                                    attempt.instr = handler.instr
-                                    attempt.fetch_pc = cores[pid].pc
-                                    attempt.need_if = True
-                                    rb = dr_bank[pid]
-                                    if rb >= 0:
-                                        attempt.need_dr = True
-                                        attempt.dr_loc = \
-                                            (rb, dr_off[pid])
-                                    else:
-                                        attempt.need_dr = False
-                                        attempt.dr_loc = None
-                                    wb = dw_bank[pid]
-                                    if wb >= 0:
-                                        attempt.need_dw = True
-                                        attempt.dw_loc = \
-                                            (wb, dw_off[pid])
-                                    else:
-                                        attempt.need_dw = False
-                                        attempt.dw_loc = None
+                                    handlers[pid] = handler
+                                self._prefill(run_list, attempts)
                                 self.fallbacks += 1
                                 self.block_conflicts += 1
                                 return cycle, sync_cycles
@@ -930,29 +936,7 @@ class FastForwardEngine:
                             entry[1] += 1
 
                 if conflict:
-                    # Hand the prepared cycle to the exact loop.  MMU
-                    # accounting already happened above (once per
-                    # attempt), so the loop must skip _new_attempt:
-                    # prefilling instr does exactly that.
-                    for pid in run_list:
-                        attempt = attempts[pid]
-                        attempt.instr = handlers[pid].instr
-                        attempt.fetch_pc = cores[pid].pc
-                        attempt.need_if = True
-                        rb = dr_bank[pid]
-                        if rb >= 0:
-                            attempt.need_dr = True
-                            attempt.dr_loc = (rb, dr_off[pid])
-                        else:
-                            attempt.need_dr = False
-                            attempt.dr_loc = None
-                        wb = dw_bank[pid]
-                        if wb >= 0:
-                            attempt.need_dw = True
-                            attempt.dw_loc = (wb, dw_off[pid])
-                        else:
-                            attempt.need_dw = False
-                            attempt.dw_loc = None
+                    self._prefill(run_list, attempts)
                     self.fallbacks += 1
                     return cycle, sync_cycles
 

@@ -15,6 +15,14 @@ Each clock cycle proceeds in two phases:
    alternately while the waiting cores are stalled using clock gating",
    Section III).
 
+Instructions run through the program's compiled dispatch table
+(:mod:`repro.tamarisc.dispatch`), the same handlers the fast-forward
+engine commits with: ``preview`` yields the data addresses of the request
+phase, ``commit`` retires the instruction.  :class:`~repro.tamarisc.cpu.Core`
+holds the architectural state and stays the executable specification the
+dispatch table is tested against.  Fetch requests come from a per-image
+``(pid, pc)`` table built at load time.
+
 Because instruction and data *contents* are deterministic, functional
 transfer happens at commit time; the crossbars only decide timing and
 count activity.  Addresses are stable across stalls because registers are
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import (ConfigurationError, CycleLimitError, HangError,
                           SimulationError)
-from repro.interconnect.xbar import Crossbar, Request
+from repro.interconnect.xbar import Crossbar, port_bit
 from repro.memory.banked_memory import BankedMemory
 from repro.memory.layout import IMOrganization
 from repro.memory.mmu import MMU
@@ -44,23 +52,36 @@ class _ProgramArtifacts:
     """Decode/dispatch products of one program image.
 
     Keyed by content hash in :data:`_PROGRAM_CACHE`: code is immutable,
-    so the decoded instruction list and the compiled dispatch table can
-    be shared across systems, repeated loads (a streamed run re-loads
-    the same program every block) and farm jobs inside one worker
-    process.  Both are read-only after construction; the dispatch table
-    is built lazily so exact-mode loads never pay for it.
+    so the decoded instruction list, the compiled dispatch table and the
+    fetch-request tables can be shared across systems, repeated loads (a
+    streamed run re-loads the same program every block) and farm jobs
+    inside one worker process.  All are read-only after construction
+    (fault injection patches copies).
     """
 
-    __slots__ = ("decoded", "_compiled")
+    __slots__ = ("decoded", "_compiled", "_fetch")
 
     def __init__(self, decoded):
         self.decoded = decoded
         self._compiled = None
+        self._fetch = {}
 
     def compiled(self):
         if self._compiled is None:
             self._compiled = compile_program(self.decoded)
         return self._compiled
+
+    def fetch_requests(self, layout, n_cores: int):
+        """I-Xbar requests ``rows[pid][pc] = (pid, bank, offset, False)``
+        of every instruction, built once per IM geometry."""
+        key = (layout, n_cores)
+        rows = self._fetch.get(key)
+        if rows is None:
+            pcs = range(len(self.decoded))
+            rows = [[(pid, *layout.locate(pid, pc), False) for pc in pcs]
+                    for pid in range(n_cores)]
+            self._fetch[key] = rows
+        return rows
 
 
 #: Process-level program cache: ``image_hash -> _ProgramArtifacts``.
@@ -152,29 +173,38 @@ class SimulationResult:
 
 
 class _Attempt:
-    """Book-keeping for one core's in-flight instruction."""
+    """Book-keeping for one core's in-flight instruction.
 
-    __slots__ = ("instr", "need_if", "need_dr", "need_dw", "dr_loc",
-                 "dw_loc", "fetch_pc")
+    ``instr`` is its dispatch-table handler (``None`` at an instruction
+    boundary); ``dr_req``/``dw_req`` its D-Xbar requests
+    ``(pid, bank, offset, write)`` (``None`` for an absent port), kept
+    after their grant for the commit; ``need_*`` the ports still waiting
+    for a grant.
+    """
+
+    __slots__ = ("instr", "need_if", "need_dr", "need_dw", "dr_req",
+                 "dw_req", "fetch_pc")
 
     def __init__(self):
         self.instr = None
         self.need_if = False
         self.need_dr = False
         self.need_dw = False
-        self.dr_loc = None
-        self.dw_loc = None
+        self.dr_req = None
+        self.dw_req = None
         self.fetch_pc = 0
 
 
 class MultiCoreSystem:
     """One platform instance: cores, MMUs, crossbars and memories.
 
+    The exact cycle-stepped loop of :meth:`run` executes through the
+    program's compiled dispatch table (see the module docstring).
     ``fast_forward`` enables the conflict-free fast-forward execution
     mode (:mod:`repro.platform.fast_forward`): provably conflict-free
-    cycles are batch-committed through a decode-cached dispatch table,
-    falling back to the exact cycle-stepped loop whenever a potential
-    bank conflict is detected.  Results — architectural state and every
+    cycles are batch-committed through the same dispatch table, falling
+    back to the exact loop whenever a potential bank conflict is
+    detected.  Results — architectural state and every
     :class:`SimulationStats` field — are bit-identical in either mode
     (the differential suite in ``tests/platform`` enforces this).
     ``None`` defers to the process default (see
@@ -219,6 +249,10 @@ class MultiCoreSystem:
         self.dxbar = Crossbar(config.n_cores, config.dm_banks,
                               broadcast=config.data_broadcast, name="D-Xbar")
         self.decoded = []
+        #: Dispatch table of the loaded program (a patched copy after an
+        #: IM fault) and the per-core fetch requests of every PC.
+        self.compiled = []
+        self._im_fetch = []
         self.benchmark: Benchmark | None = None
         self._dreads_committed = 0
         self._dwrites_committed = 0
@@ -270,6 +304,9 @@ class MultiCoreSystem:
 
         img_hash, artifacts = program_artifacts(program)
         self.decoded = artifacts.decoded
+        self.compiled = artifacts.compiled()
+        self._im_fetch = artifacts.fetch_requests(layout,
+                                                  self.config.n_cores)
         for core in self.cores:
             core.reset(entry=program.entry)
         # A load starts a fresh measurement window (streaming runs load
@@ -286,7 +323,7 @@ class MultiCoreSystem:
         self._dwrites_committed = 0
         if self.fast_forward:
             self._ff_engine = FastForwardEngine(
-                self, artifacts.compiled(),
+                self, self.compiled,
                 decoded=self.decoded,
                 img_hash=img_hash,
                 translation_blocks=self.translation_blocks,
@@ -332,12 +369,19 @@ class MultiCoreSystem:
         n = self.config.n_cores
         cores = self.cores
         mmus = self.mmus
-        decoded = self.decoded
-        program_len = len(decoded)
-        im_layout = self.im_layout
+        compiled = self.compiled
+        program_len = len(compiled)
+        fetch = self._im_fetch
         ixbar = self.ixbar
         dxbar = self.dxbar
-        dm_banks = self.dmem.banks
+        ixbar_grant = ixbar.grant
+        dxbar_grant = dxbar.grant
+        dm_store = [bank.storage for bank in self.dmem.banks]
+        # Each core's read and write port bits in the crossbars' grant
+        # masks.
+        read_bit = [port_bit(pid, False) for pid in range(n)]
+        write_bit = [port_bit(pid, True) for pid in range(n)]
+        dreads = dwrites = 0
         core_stats = [CoreStats() for _ in range(n)]
         attempts = [_Attempt() for _ in range(n)]
         running = set(range(n))
@@ -355,7 +399,10 @@ class MultiCoreSystem:
         observing = bus is not None and bus.active
         p_retire = p_stall = p_win = hooked_mmus = False
         ap_retire = ap_stall = mk_retire = mk_stall = None
-        rt_data = st_data = None
+        rt_ring = rt_data = rt_marks = st_data = None
+        # Open retire-ring segment: its stride and the next cycle it
+        # covers (see the marking after arbitration below).
+        rt_stride = rt_next = 0
         win = 0
         if observing:
             p_retire = bus.wants("core.retire")
@@ -371,7 +418,9 @@ class MultiCoreSystem:
                 if ring is not None:
                     ap_retire = ring.data.append
                     mk_retire = ring.marks.append
+                    rt_ring = ring
                     rt_data = ring.data
+                    rt_marks = ring.marks
             if p_stall:
                 ring = bus.batch("core.stall")
                 if ring is not None:
@@ -449,8 +498,8 @@ class MultiCoreSystem:
                     # Injection may have swapped the program image or
                     # disabled the engine; refresh the hoisted locals.
                     engine = self._ff_engine
-                    decoded = self.decoded
-                    program_len = len(decoded)
+                    compiled = self.compiled
+                    program_len = len(compiled)
                     for pid in sorted(faults.dead_cores):
                         if pid in running:
                             core_stats[pid].halted_at = cycle
@@ -471,6 +520,7 @@ class MultiCoreSystem:
                             running, attempts, core_stats, cycle,
                             sync_cycles, max_cycles, fault_next)
                         last_progress = cycle
+                        rt_next = -1  # the engine wrote its own marks
                         if not running:
                             break
                         if fault_next is not None and cycle >= fault_next:
@@ -483,88 +533,132 @@ class MultiCoreSystem:
                 if observing:
                     if not (cycle & 0x3FFF):
                         bus.flush()  # bound ring memory on long runs
-                    now = cycle - 1
-                    bus.now = now
-                    # One (cycle, start_offset, 0) mark per cycle;
-                    # cycles that end up contributing no events
-                    # reconstruct to a zero count, so unconditional
-                    # marking is correct and keeps the per-event sites
-                    # allocation-free.
-                    if mk_retire is not None:
-                        mk_retire(now)
-                        mk_retire(len(rt_data))
-                        mk_retire(0)
-                    if mk_stall is not None:
-                        mk_stall(now)
-                        mk_stall(len(st_data))
-                        mk_stall(0)
+                    bus.now = cycle - 1
 
                 im_requests = []
                 dm_requests = []
-                fetch_pcs = set()
+                # Sync cycle: every running core fetches the same PC.
+                lockstep = len(running) > 1
+                sync_pc = -1
                 for pid in running:
                     if stuck and pid in stuck:
                         # Clock-stuck: the core holds its state, issues
                         # nothing, and stalls (never a lockstep member).
                         core_stats[pid].stall_cycles += 1
-                        fetch_pcs.add(None)
+                        lockstep = False
                         continue
-                    core = cores[pid]
                     attempt = attempts[pid]
                     if attempt.instr is None:
-                        self._new_attempt(core, attempt, mmus[pid], decoded,
-                                          program_len)
+                        self._new_attempt(cores[pid], attempt, mmus[pid],
+                                          compiled, program_len)
                     if attempt.need_if:
-                        bank, offset = im_layout.locate(pid, attempt.fetch_pc)
-                        im_requests.append(Request(pid, bank, offset))
-                        fetch_pcs.add(attempt.fetch_pc)
+                        pc = attempt.fetch_pc
+                        im_requests.append(fetch[pid][pc])
+                        if sync_pc != pc:
+                            if sync_pc >= 0:
+                                lockstep = False
+                            sync_pc = pc
                     else:
-                        fetch_pcs.add(None)  # mid-instruction: no lockstep
+                        lockstep = False  # mid-instruction: no lockstep
                     if attempt.need_dr:
-                        bank, offset = attempt.dr_loc
-                        dm_requests.append(Request(pid, bank, offset))
+                        dm_requests.append(attempt.dr_req)
                     if attempt.need_dw:
-                        bank, offset = attempt.dw_loc
-                        dm_requests.append(
-                            Request(pid, bank, offset, write=True))
-                if len(running) > 1 and len(fetch_pcs) == 1 \
-                        and None not in fetch_pcs:
+                        dm_requests.append(attempt.dw_req)
+                if lockstep:
                     sync_cycles += 1
 
-                granted_im = ixbar.arbitrate(im_requests) if im_requests \
-                    else set()
-                granted_dm = dxbar.arbitrate(dm_requests) if dm_requests \
-                    else set()
+                granted_im = ixbar_grant(im_requests) if im_requests else 0
+                granted_dm = dxbar_grant(dm_requests) if dm_requests else 0
+                # Every request granted (each owns one mask bit): no
+                # core stalls, so the per-port bookkeeping is skipped.
+                all_granted = \
+                    granted_im.bit_count() == len(im_requests) \
+                    and granted_dm.bit_count() == len(dm_requests)
+                retire_each = p_retire
+                if observing:
+                    now = cycle - 1
+                    if all_granted:
+                        if mk_retire is not None:
+                            # Every non-stuck core retires: one stride
+                            # mark covers a run of such cycles, and a
+                            # lockstep cycle stores its shared PC once
+                            # (run-length form), as the fast-forward
+                            # engine does.
+                            if lockstep:
+                                stride = -len(running)
+                            elif stuck:
+                                stride = len(running - stuck)
+                            else:
+                                stride = len(running)
+                            if now != rt_next or stride != rt_stride \
+                                    or not rt_marks:  # flushed since
+                                mk_retire(now)
+                                mk_retire(len(rt_data))
+                                mk_retire(stride)
+                                rt_stride = stride
+                                if lockstep:
+                                    rt_ring.rle = True
+                            rt_next = cycle
+                            if lockstep:
+                                ap_retire(sync_pc)
+                                retire_each = False
+                    else:
+                        # Stalls: one (cycle, start_offset, 0) mark per
+                        # ring; a cycle's events follow its mark.
+                        if mk_retire is not None:
+                            mk_retire(now)
+                            mk_retire(len(rt_data))
+                            mk_retire(0)
+                            rt_next = -1
+                        if mk_stall is not None:
+                            mk_stall(now)
+                            mk_stall(len(st_data))
+                            mk_stall(0)
 
                 halted_now = []
                 for pid in running:
                     if stuck and pid in stuck:
                         continue
                     attempt = attempts[pid]
-                    if attempt.need_if and (pid, False) in granted_im:
-                        attempt.need_if = False
-                    if attempt.need_dr and (pid, False) in granted_dm:
-                        attempt.need_dr = False
-                    if attempt.need_dw and (pid, True) in granted_dm:
-                        attempt.need_dw = False
-                    if attempt.need_if or attempt.need_dr or attempt.need_dw:
-                        core_stats[pid].stall_cycles += 1
-                        if p_stall:
-                            if ap_stall is not None:
-                                ap_stall(attempt.fetch_pc)
-                            else:
-                                bus.emit("core.stall", cycle - 1, pid,
-                                         attempt.fetch_pc)
-                        continue
-                    if p_retire:
+                    if not all_granted:
+                        if attempt.need_if and granted_im & read_bit[pid]:
+                            attempt.need_if = False
+                        if attempt.need_dr and granted_dm & read_bit[pid]:
+                            attempt.need_dr = False
+                        if attempt.need_dw and granted_dm & write_bit[pid]:
+                            attempt.need_dw = False
+                        if attempt.need_if or attempt.need_dr \
+                                or attempt.need_dw:
+                            core_stats[pid].stall_cycles += 1
+                            if p_stall:
+                                if ap_stall is not None:
+                                    ap_stall(attempt.fetch_pc)
+                                else:
+                                    bus.emit("core.stall", cycle - 1, pid,
+                                             attempt.fetch_pc)
+                            continue
+                    if retire_each:
                         if ap_retire is not None:
                             ap_retire(attempt.fetch_pc)
                         else:
                             bus.emit("core.retire", cycle - 1, pid,
                                      attempt.fetch_pc)
-                    self._commit(cores[pid], attempt, dm_banks)
+                    # Commit: data read, retire, data write.
+                    core = cores[pid]
+                    request = attempt.dr_req
+                    if request is None:
+                        value = None
+                    else:
+                        value = dm_store[request[1]][request[2]]
+                        dreads += 1
+                    store = attempt.instr.commit(core, value)
+                    if store is not None:
+                        request = attempt.dw_req
+                        dm_store[request[1]][request[2]] = store[1] & 0xFFFF
+                        dwrites += 1
+                    attempt.instr = None
                     last_progress = cycle
-                    if cores[pid].halted:
+                    if core.halted:
                         core_stats[pid].halted_at = cycle
                         halted_now.append(pid)
                 for pid in halted_now:
@@ -579,6 +673,8 @@ class MultiCoreSystem:
                              tuple(core.retired for core in cores),
                              tuple(cs.stall_cycles for cs in core_stats))
         finally:
+            self._dreads_committed += dreads
+            self._dwrites_committed += dwrites
             if observing:
                 ixbar.probe_conflict = ixbar.probe_broadcast = None
                 dxbar.probe_conflict = dxbar.probe_broadcast = None
@@ -602,35 +698,34 @@ class MultiCoreSystem:
         )
 
     def _new_attempt(self, core: Core, attempt: _Attempt, mmu: MMU,
-                     decoded, program_len: int) -> None:
+                     compiled, program_len: int) -> None:
         pc = core.pc
         if pc >= program_len:
             raise SimulationError(
                 f"core {core.pid} ran off the program at PC {pc:#x}")
-        instr = decoded[pc]
-        dread, dwrite = core.data_requests(instr)
-        attempt.instr = instr
+        handler = compiled[pc]
+        preview = handler.preview
+        attempt.instr = handler
         attempt.fetch_pc = pc
         attempt.need_if = True
-        attempt.need_dr = dread is not None
-        attempt.need_dw = dwrite is not None
-        attempt.dr_loc = mmu.translate(dread.addr) if dread else None
-        attempt.dw_loc = mmu.translate(dwrite.addr) if dwrite else None
-
-    def _commit(self, core: Core, attempt: _Attempt, dm_banks) -> None:
-        value = None
-        if attempt.dr_loc is not None:
-            bank, offset = attempt.dr_loc
-            value = dm_banks[bank].storage[offset]
-            self._dreads_committed += 1
-        store = core.execute(attempt.instr, value)
-        if store is not None:
-            bank, offset = attempt.dw_loc
-            dm_banks[bank].storage[offset] = store[1] & 0xFFFF
-            self._dwrites_committed += 1
-        attempt.instr = None
-        attempt.dr_loc = None
-        attempt.dw_loc = None
+        if preview is None:
+            attempt.need_dr = attempt.need_dw = False
+            attempt.dr_req = attempt.dw_req = None
+            return
+        dread, dwrite = preview(core.regs)
+        pid = core.pid
+        if dread is None:
+            attempt.need_dr = False
+            attempt.dr_req = None
+        else:
+            attempt.need_dr = True
+            attempt.dr_req = (pid, *mmu.translate(dread), False)
+        if dwrite is None:
+            attempt.need_dw = False
+            attempt.dw_req = None
+        else:
+            attempt.need_dw = True
+            attempt.dw_req = (pid, *mmu.translate(dwrite), True)
 
     def _collect_stats(self, cycles: int, sync_cycles: int,
                        core_stats: list[CoreStats]) -> SimulationStats:

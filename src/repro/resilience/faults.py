@@ -17,8 +17,9 @@ Fault kinds (weights in :func:`draw_fault`):
     1-2 bit flips in one physical data-memory word (bank, offset).
 ``im``
     1-2 bit flips in one 24-bit instruction word.  The patched word is
-    re-decoded; an undecodable word becomes a :class:`TrapInstruction`
-    whose first use raises :class:`~repro.errors.TrapError` (the
+    re-decoded and re-compiled; an undecodable word becomes a
+    :class:`TrapInstruction` whose dispatch handler raises
+    :class:`~repro.errors.TrapError` when a core first issues it (the
     hardware analogue is an illegal-instruction trap -> *detected*).
 ``stuck``
     One core's clock sticks: it holds state, issues no requests and
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError, TrapError
 from repro.tamarisc.cpu import PC_MASK
+from repro.tamarisc.dispatch import CompiledInstruction, compile_instruction
 from repro.tamarisc.encoding import decode
 from repro.tamarisc.isa import NUM_REGS, WORD_BITS, WORD_MASK
 
@@ -152,9 +154,12 @@ def build_plan(campaign_seed: int, n_trials: int, *, n_cores: int,
 class TrapInstruction:
     """Decode-trap sentinel planted in the decoded-instruction list.
 
-    The run loop's first touch of an instruction is ``instr.op`` (inside
-    ``Core.data_requests``), so the property raising makes detection
-    free for every healthy instruction.
+    The run loop's first touch of an instruction is its dispatch
+    handler's ``preview``, called when a core starts the instruction;
+    :meth:`handler` builds the entry whose ``preview`` raises, so
+    detection costs nothing for every healthy instruction.  Reading
+    ``op`` (the generic :class:`~repro.tamarisc.cpu.Core` walk's first
+    touch) raises the same error.
     """
 
     __slots__ = ("word", "pc")
@@ -163,11 +168,18 @@ class TrapInstruction:
         self.word = word
         self.pc = pc
 
-    @property
-    def op(self):
+    def trap(self, regs=None):
         raise TrapError(
             f"decode trap at PC {self.pc:#x}: undecodable word "
             f"{self.word:#08x}")
+
+    @property
+    def op(self):
+        self.trap()
+
+    def handler(self) -> CompiledInstruction:
+        """Dispatch-table entry whose ``preview`` raises the trap."""
+        return CompiledInstruction(self, self.trap, None, False, False)
 
 
 class FaultSession:
@@ -223,14 +235,16 @@ class FaultSession:
             raise ReproError(f"unknown fault kind {spec.kind!r}")
 
     def _apply_im(self, system, spec: FaultSpec) -> None:
-        """Flip bits in one instruction word and re-decode it.
+        """Flip bits in one instruction word, re-decode and re-compile it.
 
-        The semantic source of execution is the decoded list (the
-        banked instruction memory only counts accesses), so the patch
-        swaps in a *fresh copy* — the pristine decode is shared through
-        the process-level program cache and must never be mutated.
-        Both engines drop to the exact loop from here so the patched
-        word executes identically in every mode.
+        The semantic source of execution is the compiled dispatch table
+        (the banked instruction memory only counts accesses), so the
+        patch swaps in *fresh copies* of it and of the decoded list —
+        the pristine ones are shared through the process-level program
+        cache and must never be mutated.  Both engines drop to the exact
+        loop from here (it re-reads ``system.compiled`` after every
+        injection) so the patched word executes identically in every
+        mode.
         """
         pc = spec.index
         word = self._im_words.get(pc)
@@ -242,7 +256,13 @@ class FaultSession:
             instr = decode(word)
         except ReproError:
             instr = TrapInstruction(word, pc)
-        patched = list(system.decoded)
-        patched[pc] = instr
-        system.decoded = patched
+            handler = instr.handler()
+        else:
+            handler = compile_instruction(instr)
+        decoded = list(system.decoded)
+        decoded[pc] = instr
+        system.decoded = decoded
+        compiled = list(system.compiled)
+        compiled[pc] = handler
+        system.compiled = compiled
         system._ff_engine = None

@@ -1,11 +1,13 @@
 """Decode-cached dispatch table: one specialised handler per instruction.
 
-The cycle-stepped executors (:mod:`repro.tamarisc.iss` and
-:mod:`repro.platform.multicore`) interpret every instruction through the
-generic operand walk of :class:`~repro.tamarisc.cpu.Core` — a scratch
-register copy, per-operand mode dispatch and a :class:`Flags` allocation
-per ALU result.  That genericity costs microseconds per retired
-instruction and dominates simulator wall-clock.
+The generic operand walk of :class:`~repro.tamarisc.cpu.Core` — a
+scratch register copy, per-operand mode dispatch and a :class:`Flags`
+allocation per ALU result — is the executable specification of the ISA,
+and the single-core ISS's step-by-step mode (:mod:`repro.tamarisc.iss`)
+still runs on it.  That genericity costs microseconds per retired
+instruction, so every platform execution mode — the exact cycle-stepped
+loop of :mod:`repro.platform.multicore` and the fast-forward engine
+alike — runs on this module instead.
 
 This module compiles a decoded program once into a list of
 :class:`CompiledInstruction` handlers.  Each handler carries two
@@ -21,12 +23,14 @@ addressing modes and register numbers:
   flags, PC and the ``(addr, value)`` store tuple (or ``None``).
 
 Semantic equivalence with the generic walk is the load-bearing property:
-the differential suites in ``tests/platform`` and ``tests/tamarisc``
-assert bit-identical architectural outcomes between the dispatch path
-and the reference interpreters over the ECG workload and a
-constrained-random program corpus.  Instructions outside the
-single-read/single-write port contract (never produced by the assembler)
-fall back to the generic :class:`Core` methods rather than guessing.
+``tests/tamarisc/test_dispatch_properties.py`` checks every handler
+against :class:`Core` instruction by instruction, and the differential
+suites in ``tests/platform`` and ``tests/tamarisc`` assert bit-identical
+architectural outcomes against the single-core ISS over the ECG
+workload and a constrained-random program corpus.  Instructions outside
+the single-read/single-write port contract (never produced by the
+assembler) fall back to the generic :class:`Core` methods rather than
+guessing.
 """
 
 from __future__ import annotations

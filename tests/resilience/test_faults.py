@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ReproError, TrapError
+from repro.platform.multicore import MultiCoreSystem, program_artifacts
 from repro.resilience import (
     FaultSession,
     FaultSpec,
@@ -96,6 +97,13 @@ class TestTrapInstruction:
         instr = TrapInstruction(word=0xFFFFFF, pc=0x40)
         with pytest.raises(TrapError, match="decode trap at PC 0x40"):
             instr.op
+
+    def test_handler_preview_raises_trap_error(self):
+        instr = TrapInstruction(word=0xFFFFFF, pc=0x40)
+        handler = instr.handler()
+        assert handler.instr is instr
+        with pytest.raises(TrapError, match="decode trap at PC 0x40"):
+            handler.preview([0] * NUM_REGS)
 
 
 def _undecodable_im_faults(golden):
@@ -194,3 +202,38 @@ class TestFaultSession:
         execute_trial(SPEC, fault_specs=fault)
         clean = execute_trial(SPEC, fault_specs=())
         assert clean.outcome == "masked"
+
+    @pytest.mark.parametrize("undecodable", [False, True])
+    def test_im_patch_copies_the_cached_dispatch_table(self, undecodable):
+        """The patch lands in copies of the decoded list and of the
+        compiled table; the cached artifacts keep every entry."""
+        golden = golden_run(SPEC)
+        benchmark = golden.built.benchmark
+        if undecodable:
+            fault = next(_undecodable_im_faults(golden))
+        else:
+            fault = FaultSpec("im", 10, 0, index=0, mask=0x1)
+        system = MultiCoreSystem(SPEC.arch, fast_forward=True)
+        system.load(benchmark)
+        __, artifacts = program_artifacts(benchmark.program)
+        decoded, compiled = artifacts.decoded, artifacts.compiled()
+        pristine = (list(decoded), list(compiled))
+        assert system.compiled is compiled
+
+        FaultSession([fault]).apply_due(system, fault.cycle)
+        assert system._ff_engine is None
+        assert system.compiled is not compiled
+        assert system.decoded is not decoded
+        assert artifacts.decoded is decoded
+        assert artifacts.compiled() is compiled
+        for cached, before in zip(pristine, (decoded, compiled)):
+            assert all(a is b for a, b in zip(cached, before))
+        patched = system.compiled[fault.index]
+        assert patched is not compiled[fault.index]
+        assert patched.instr is system.decoded[fault.index]
+        if undecodable:
+            with pytest.raises(TrapError):
+                patched.preview(system.cores[0].regs)
+            # The exact loop executes the patched copy.
+            with pytest.raises(TrapError):
+                system.run()
